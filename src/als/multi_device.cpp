@@ -84,20 +84,8 @@ MultiDeviceAls::MultiDeviceAls(const Csr& train, const AlsOptions& options,
       fault_model_(std::max<std::size_t>(1, profiles.size()), elastic.faults) {
   ALSMF_CHECK_MSG(!profiles.empty(), "need at least one device profile");
   row_solver_ = make_row_solver(options_);
-  const auto n = profiles.size();
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   for (auto& p : profiles) {
-    // Coordinator threads launch shards concurrently, and the global pool
-    // rejects concurrent parallel_for — so with several devices each one
-    // gets a private pool with its share of the hardware threads. A single
-    // device keeps the global pool (the exact synchronous configuration).
-    ThreadPool* pool = nullptr;
-    if (n > 1) {
-      pools_.push_back(std::make_unique<ThreadPool>(
-          std::max(1u, hw / static_cast<unsigned>(n))));
-      pool = pools_.back().get();
-    }
-    devices_.push_back(std::make_unique<devsim::Device>(std::move(p), pool));
+    devices_.push_back(std::make_unique<devsim::Device>(std::move(p)));
   }
   health_.resize(devices_.size());
   report_.devices_configured = static_cast<int>(devices_.size());

@@ -35,7 +35,6 @@
 #include "als/kernels.hpp"
 #include "als/options.hpp"
 #include "als/solver.hpp"
-#include "common/thread_pool.hpp"
 #include "devsim/device.hpp"
 #include "devsim/faults.hpp"
 #include "linalg/dense.hpp"
@@ -233,7 +232,6 @@ class MultiDeviceAls {
   AlsVariant variant_;
   std::unique_ptr<RowSolver> row_solver_;
   ElasticOptions elastic_;
-  std::vector<std::unique_ptr<ThreadPool>> pools_;
   std::vector<std::unique_ptr<devsim::Device>> devices_;
   std::vector<DeviceHealth> health_;
   devsim::FaultModel fault_model_;

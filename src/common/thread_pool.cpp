@@ -1,17 +1,21 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-
-#include "common/error.hpp"
+#include <utility>
 
 namespace alsmf {
 
-ThreadPool::ThreadPool(unsigned threads) {
-  unsigned n = threads ? threads : std::thread::hardware_concurrency();
-  n = std::max(1u, n);
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+namespace {
+// The pool whose chunk this thread is running, if any (nested-call check).
+thread_local const ThreadPool* tl_running = nullptr;
+}  // namespace
+
+ThreadPool::ThreadPool(unsigned threads)
+    : size_(std::max(1u, threads ? threads
+                                 : std::thread::hardware_concurrency())) {
+  workers_.reserve(size_ - 1);
+  for (unsigned i = 1; i < size_; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -21,75 +25,83 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   cv_work_.notify_all();
+  workers_.clear();  // join while the state they wait on is still alive
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t, unsigned)>& fn) {
+void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
+                              const Fn& fn) {
   if (begin >= end) return;  // empty/reversed ranges: documented no-op
   const std::size_t n = end - begin;
-  // Small ranges: run inline, skip synchronization entirely.
-  if (n == 1 || workers_.size() == 1) {
+  // Small ranges, single-participant pools and nested calls run inline.
+  if (n == 1 || size_ == 1 || tl_running == this) {
     fn(begin, end, 0);
     return;
   }
 
   Job job;
   job.fn = &fn;
-  job.begin = begin;
-  job.end = end;
-  job.chunk = std::max<std::size_t>(1, n / (workers_.size() * 8));
   job.next = begin;
-  job.remaining = static_cast<unsigned>(workers_.size());
-
+  job.end = end;
+  job.chunk = std::max<std::size_t>(1, n / (std::size_t{size_} * 8));
   {
     std::scoped_lock lk(m_);
-    ALSMF_CHECK_MSG(job_ == nullptr, "nested parallel_for on one pool");
-    job_ = &job;
-    ++epoch_;
+    open_.push_back(&job);
   }
   cv_work_.notify_all();
+  run_chunks(job, 0);
 
   std::unique_lock lk(m_);
-  cv_done_.wait(lk, [&] { return job.remaining == 0; });
-  job_ = nullptr;
+  cv_done_.wait(lk, [&] { return job.active == 0; });
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void ThreadPool::worker_loop(unsigned id) {
-  std::uint64_t seen_epoch = 0;
+void ThreadPool::run_chunks(Job& job, unsigned slot) {
+  const ThreadPool* outer = std::exchange(tl_running, this);
   while (true) {
-    Job* job = nullptr;
-    {
-      std::unique_lock lk(m_);
-      cv_work_.wait(lk, [&] { return stop_ || (job_ && epoch_ != seen_epoch); });
-      if (stop_) return;
-      job = job_;
-      seen_epoch = epoch_;
-    }
-    // Claim and run chunks until the range is exhausted.
-    while (true) {
-      std::size_t b, e;
-      {
-        std::scoped_lock lk(m_);
-        if (job->next >= job->end) break;
-        b = job->next;
-        e = std::min(job->end, b + job->chunk);
-        job->next = e;
-      }
-      try {
-        (*job->fn)(b, e, id);
-      } catch (...) {
-        std::scoped_lock lk(m_);
-        if (!job->error) job->error = std::current_exception();
-      }
-    }
-    bool last = false;
+    std::size_t b, e;
     {
       std::scoped_lock lk(m_);
-      last = (--job->remaining == 0);
+      if (job.next >= job.end) break;
+      b = job.next;
+      e = std::min(job.end, b + job.chunk);
+      job.next = e;
+      // Fully claimed: no new participant may join. The caller is still
+      // active here, so the job outlives every joined worker.
+      if (e == job.end) std::erase(open_, &job);
     }
-    if (last) cv_done_.notify_all();
+    try {
+      (*job.fn)(b, e, slot);
+    } catch (...) {
+      std::scoped_lock lk(m_);
+      if (!job.error) job.error = std::current_exception();
+    }
+  }
+  tl_running = outer;
+  bool last = false;
+  {
+    std::scoped_lock lk(m_);
+    last = --job.active == 0;
+  }
+  if (last) cv_done_.notify_all();
+}
+
+void ThreadPool::worker_loop() {
+  std::unique_lock lk(m_);
+  while (true) {
+    cv_work_.wait(lk, [&] { return stop_ || !open_.empty(); });
+    if (stop_) return;
+    // Join the open job with the fewest participants, so concurrent callers
+    // share the workers instead of queueing behind one another. A worker
+    // joins a job at most once (it leaves only when the job is fully
+    // claimed), so slots never exceed size() - 1.
+    Job* job = *std::min_element(
+        open_.begin(), open_.end(),
+        [](const Job* a, const Job* b) { return a->slots < b->slots; });
+    const unsigned slot = job->slots++;
+    ++job->active;
+    lk.unlock();
+    run_chunks(*job, slot);
+    lk.lock();
   }
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <limits>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -120,6 +121,56 @@ TEST(ThreadPool, ManySequentialJobs) {
     });
     ASSERT_EQ(count.load(), 64);
   }
+}
+
+// Several threads share one pool, and every chunk itself submits a nested
+// job. Each index of every job runs exactly once, every worker index is
+// < size(), and no index is held by two chunks of one job at once (the
+// per-worker scratch contract devsim::Device relies on).
+TEST(ThreadPool, ConcurrentAndNestedSubmittersShareOnePool) {
+  ThreadPool pool(4);
+  constexpr int kSubmitters = 6;
+  constexpr int kRounds = 20;
+  constexpr std::size_t kOuter = 257;
+  constexpr std::size_t kInner = 7;
+  std::atomic<bool> ok{true};
+  const auto check_index = [&](unsigned w) {
+    if (w >= pool.size()) ok = false;
+  };
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(kOuter);
+        std::vector<std::atomic<int>> nested(kOuter * kInner);
+        std::vector<std::atomic<bool>> busy(pool.size());
+        pool.parallel_for(0, kOuter, [&](std::size_t b, std::size_t e,
+                                         unsigned w) {
+          check_index(w);
+          if (w >= busy.size() || busy[w].exchange(true)) ok = false;
+          for (std::size_t i = b; i < e; ++i) {
+            hits[i].fetch_add(1);
+            pool.parallel_for(0, kInner, [&](std::size_t nb, std::size_t ne,
+                                             unsigned nw) {
+              check_index(nw);
+              for (std::size_t j = nb; j < ne; ++j) {
+                nested[i * kInner + j].fetch_add(1);
+              }
+            });
+          }
+          if (w < busy.size()) busy[w] = false;
+        });
+        for (const auto& h : hits) {
+          if (h.load() != 1) ok = false;
+        }
+        for (const auto& h : nested) {
+          if (h.load() != 1) ok = false;
+        }
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  EXPECT_TRUE(ok.load());
 }
 
 }  // namespace

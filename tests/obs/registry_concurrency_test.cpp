@@ -63,6 +63,11 @@ TEST(RegistryConcurrency, ExpositionRacesWriters) {
   reg.add_assertion("nonneg", [&reg] {
     return reg.gauge("g").value() >= 0 ? std::string() : "negative";
   });
+  // Register every series up front: otherwise the reader can expose the
+  // registry before the writer's first insert and see empty text.
+  reg.counter("c");
+  reg.gauge("g");
+  reg.histogram("h");
   std::thread writer([&reg] {
     for (int i = 0; i < 2000; ++i) {
       reg.counter("c").inc();
