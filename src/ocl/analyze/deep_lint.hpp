@@ -8,7 +8,9 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
+#include "ocl/analyze/ir.hpp"
 #include "ocl/kernel_lint.hpp"
 
 namespace alsmf::ocl::analyze {
@@ -27,5 +29,10 @@ struct DeepLintOptions {
 /// unanalyzable kernel must fail the gate, not pass silently.
 LintReport deep_lint_kernel_source(const std::string& source,
                                    const DeepLintOptions& options = {});
+
+/// The same for a source whose kernels are already lowered.
+LintReport deep_lint_kernels(const std::string& source,
+                             const std::vector<KernelIR>& kernels,
+                             const DeepLintOptions& options);
 
 }  // namespace alsmf::ocl::analyze

@@ -681,23 +681,29 @@ class Machine {
   long num_groups_ = 1;
 };
 
-}  // namespace
-
-InterpKernel::InterpKernel(const std::string& source,
-                           const std::string& kernel_name)
-    : tu_(parse_translation_unit(source)) {
-  for (const auto& fn : tu_.functions) {
-    if (fn.is_kernel && fn.name == kernel_name) {
-      fn_ = &fn;
-      return;
-    }
+const FunctionDecl* find_kernel(const TranslationUnit& tu,
+                                const std::string& kernel_name) {
+  for (const auto& fn : tu.functions) {
+    if (fn.is_kernel && fn.name == kernel_name) return &fn;
   }
   throw ParseError{0, "kernel '" + kernel_name + "' not found in source"};
 }
 
+}  // namespace
+
+InterpKernel::InterpKernel(const std::string& source,
+                           const std::string& kernel_name)
+    : owned_(parse_translation_unit(source)),
+      tu_(&*owned_),
+      fn_(find_kernel(*tu_, kernel_name)) {}
+
+InterpKernel::InterpKernel(const TranslationUnit& tu,
+                           const std::string& kernel_name)
+    : tu_(&tu), fn_(find_kernel(tu, kernel_name)) {}
+
 void InterpKernel::run_group(devsim::GroupCtx& ctx,
                              const std::vector<InterpArg>& args) const {
-  Machine m(tu_, *fn_, ctx, args, quantizer_);
+  Machine m(*tu_, *fn_, ctx, args, quantizer_);
   m.num_groups_ = num_groups_hint_ > 0 ? num_groups_hint_ : 1;
   m.run();
 }

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,9 @@ struct InterpArg {
 class InterpKernel {
  public:
   InterpKernel(const std::string& source, const std::string& kernel_name);
+  /// Interprets an already-parsed unit, which must outlive the kernel.
+  InterpKernel(const TranslationUnit& tu, const std::string& kernel_name);
+  InterpKernel(TranslationUnit&&, const std::string&) = delete;
 
   const std::string& name() const { return fn_->name; }
   std::size_t num_args() const { return fn_->params.size(); }
@@ -97,7 +101,8 @@ class InterpKernel {
                  const std::vector<InterpArg>& args) const;
 
  private:
-  TranslationUnit tu_;
+  std::optional<TranslationUnit> owned_;  // set when built from source
+  const TranslationUnit* tu_ = nullptr;
   const FunctionDecl* fn_ = nullptr;
   long num_groups_hint_ = 0;
   float (*quantizer_)(float) = nullptr;

@@ -8,6 +8,7 @@
 #include "devsim/device.hpp"
 #include "devsim/profile.hpp"
 #include "ocl/analyze/interp.hpp"
+#include "ocl/analyze/parser.hpp"
 
 namespace alsmf::ocl::analyze::precision {
 namespace {
@@ -55,12 +56,12 @@ Problem make_problem(const ShadowWitnessConfig& c) {
   return p;
 }
 
-std::vector<float> run_leg(const std::string& source,
+std::vector<float> run_leg(const TranslationUnit& tu,
                            const std::string& kernel_name, Problem p,
                            const ShadowWitnessConfig& c,
                            float (*quantizer)(float), bool* clean) {
   std::vector<float> x(static_cast<std::size_t>(c.k) * p.rows, 0.0f);
-  InterpKernel ik(source, kernel_name);
+  InterpKernel ik(tu, kernel_name);
   if (quantizer != nullptr) {
     ik.set_storage_quantizer(quantizer);
   }
@@ -88,6 +89,14 @@ ShadowWitness run_shadow_witness(const std::string& source,
                                  const std::string& kernel_name,
                                  StoragePrecision storage,
                                  const ShadowWitnessConfig& config) {
+  return run_shadow_witness(parse_translation_unit(source), kernel_name,
+                            storage, config);
+}
+
+ShadowWitness run_shadow_witness(const TranslationUnit& tu,
+                                 const std::string& kernel_name,
+                                 StoragePrecision storage,
+                                 const ShadowWitnessConfig& config) {
   float (*quantizer)(float) = nullptr;
   switch (storage) {
     case StoragePrecision::kFp32:
@@ -106,9 +115,9 @@ ShadowWitness run_shadow_witness(const std::string& source,
   w.nnz = static_cast<long>(p.values.size());
   bool clean = true;
   const std::vector<float> exact =
-      run_leg(source, kernel_name, p, config, nullptr, &clean);
+      run_leg(tu, kernel_name, p, config, nullptr, &clean);
   const std::vector<float> shadow =
-      run_leg(source, kernel_name, p, config, quantizer, &clean);
+      run_leg(tu, kernel_name, p, config, quantizer, &clean);
   w.ran = clean && exact.size() == shadow.size();
   for (std::size_t i = 0; i < exact.size() && i < shadow.size(); ++i) {
     if (!std::isfinite(shadow[i])) {

@@ -59,5 +59,10 @@ ShadowWitness run_shadow_witness(const std::string& source,
                                  const std::string& kernel_name,
                                  StoragePrecision storage,
                                  const ShadowWitnessConfig& config);
+/// The same on an already-parsed unit (shared with the static legs).
+ShadowWitness run_shadow_witness(const TranslationUnit& tu,
+                                 const std::string& kernel_name,
+                                 StoragePrecision storage,
+                                 const ShadowWitnessConfig& config);
 
 }  // namespace alsmf::ocl::analyze::precision

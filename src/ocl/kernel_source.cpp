@@ -28,7 +28,7 @@ void emit_header_comment(std::ostringstream& os, const std::string& name,
   if (c.storage != StoragePrecision::kFp32) {
     os << "// storage: " << to_string(c.storage)
        << " factors/ratings, real_t accumulation (certified by\n";
-    os << "// alsmf_cli analyze-precision before any device runs it)\n";
+    os << "// alsmf_cli audit-kernels before any device runs it)\n";
   }
   os << "//\n";
 }

@@ -1,12 +1,12 @@
-// Checked execution over the real ALS kernels: the full sweep must be
-// clean on every variant × profile, and running under the checker must not
-// change a single output bit or any recorded counter.
+// Checked execution over the real ALS kernels (the audit's check leg): it
+// must be clean on every variant × profile, and running under the checker
+// must not change a single output bit or any recorded counter.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
-#include "als/check_kernels.hpp"
+#include "als/audit_kernels.hpp"
 #include "als/kernels.hpp"
 #include "common/rng.hpp"
 #include "data/synthetic.hpp"
@@ -16,8 +16,8 @@
 namespace alsmf {
 namespace {
 
-CheckKernelsOptions small_options() {
-  CheckKernelsOptions options;
+AuditOptions small_options() {
+  AuditOptions options;
   options.users = 120;
   options.items = 80;
   options.nnz = 1500;
@@ -28,31 +28,33 @@ CheckKernelsOptions small_options() {
 }
 
 TEST(CheckKernels, SweepIsCleanAcrossVariantsAndProfiles) {
-  const CheckKernelsResult result = check_kernels(small_options());
-  for (const auto& entry : result.entries) {
+  const AuditReport result = audit_kernels(small_options());
+  std::size_t launches = 0;
+  for (const auto& entry : result.check) {
     EXPECT_TRUE(entry.report.clean())
         << entry.profile << "/" << entry.kernel << ":\n"
         << entry.report.to_json();
+    launches += entry.report.launches;
   }
-  for (const auto& issue : result.lint_issues) {
+  for (const auto& issue : result.diagnostics) {
     ADD_FAILURE() << "lint: " << issue;
   }
   EXPECT_TRUE(result.clean());
   // flat + 8 variants + their 8 CG flavors + flat/cg + subspace + 4
   // forced-tile re-runs + SELL + implicit, x3 profiles.
-  EXPECT_EQ(result.entries.size(), 25u * 3u);
-  EXPECT_GT(result.launches, 0u);
+  EXPECT_EQ(result.check.size(), 25u * 3u);
+  EXPECT_GT(launches, 0u);
 }
 
 TEST(CheckKernels, JsonExportCarriesEntries) {
-  CheckKernelsOptions options = small_options();
+  AuditOptions options = small_options();
   options.profiles = {"gpu"};
-  const CheckKernelsResult result = check_kernels(options);
+  const AuditReport result = audit_kernels(options);
   const std::string json = result.to_json();
   EXPECT_NE(json.find("\"clean\":true"), std::string::npos);
   EXPECT_NE(json.find("\"kernel\":\"flat\""), std::string::npos);
   EXPECT_NE(json.find("\"profile\":\"gpu\""), std::string::npos);
-  EXPECT_NE(json.find("\"lint_issues\":[]"), std::string::npos);
+  EXPECT_NE(json.find("\"diagnostics\":[]"), std::string::npos);
 }
 
 TEST(CheckKernels, ValidatedOutputsBitIdenticalToPlain) {

@@ -1,7 +1,7 @@
-// The analyze-precision sweep driver (what the CLI and the CI gate run):
-// every flavor certifies, every narrow flavor is witnessed and dominated,
-// and the JSON artifact carries the fields CI parses.
-#include "als/precision_kernels.hpp"
+// The audit's precision leg (what the CLI and the CI gate run): every
+// flavor certifies at both tile settings, every narrow flavor is witnessed
+// and dominated, and the JSON artifact carries the fields CI parses.
+#include "als/audit_kernels.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,19 +13,30 @@
 namespace alsmf {
 namespace {
 
+// The precision leg does not depend on the dataset or the device profile;
+// a small shape and one profile keep the other legs cheap.
+AuditOptions small_options() {
+  AuditOptions opt;
+  opt.users = 120;
+  opt.items = 80;
+  opt.nnz = 1500;
+  opt.profiles = {"gpu"};
+  return opt;
+}
+
 TEST(PrecisionKernels, FullSweepIsClean) {
-  PrecisionKernelsOptions opt;
-  const PrecisionKernelsResult result = analyze_precision_kernels(opt);
+  const AuditReport result = audit_kernels(small_options());
   EXPECT_TRUE(result.errors.empty());
-  ASSERT_EQ(result.entries.size(), 4 * AlsVariant::kVariantCount + 2);
+  const auto& entries = result.tiles.at(0).precision;
+  ASSERT_EQ(entries.size(), 4 * AlsVariant::kVariantCount + 2);
   int witnessed = 0;
-  for (const auto& e : result.entries) {
+  for (const auto& e : entries) {
     EXPECT_TRUE(e.report.certified) << e.kernel;
     EXPECT_TRUE(e.dominated) << e.kernel;
-    EXPECT_FALSE(e.witness_overflow) << e.kernel;
-    if (e.witness_ran) {
+    EXPECT_FALSE(e.witness.overflow_observed) << e.kernel;
+    if (e.witness.ran) {
       ++witnessed;
-      EXPECT_GT(e.observed_err, 0.0) << e.kernel;
+      EXPECT_GT(e.witness.observed_err, 0.0) << e.kernel;
     }
   }
   // Every narrow flavor (8 fp16 + 8 bf16) gets the dynamic leg.
@@ -34,28 +45,26 @@ TEST(PrecisionKernels, FullSweepIsClean) {
 }
 
 TEST(PrecisionKernels, StaticOnlySweepAtForcedTileRows) {
-  // The CI job also certifies at TILE_ROWS=4 (multiple staging chunks per
-  // row); witness off keeps this leg fast.
-  PrecisionKernelsOptions opt;
-  opt.tile_rows = 4;
-  opt.witness = false;
-  const PrecisionKernelsResult result = analyze_precision_kernels(opt);
+  // The pass also certifies at TILE_ROWS=4 (multiple staging chunks per
+  // row). The fp32 flavors are certified statically only: no witness runs
+  // and dominance is vacuous; the narrow ones are witnessed here as well.
+  const AuditReport result = audit_kernels(small_options());
   EXPECT_TRUE(result.clean());
-  for (const auto& e : result.entries) {
-    EXPECT_FALSE(e.witness_ran) << e.kernel;
-    EXPECT_TRUE(e.dominated) << e.kernel;  // vacuous without a witness
+  ASSERT_EQ(result.tiles.at(1).tile_rows, 4);
+  for (const auto& e : result.tiles.at(1).precision) {
+    const bool narrow = e.report.storage != "fp32";
+    EXPECT_EQ(e.witness.ran, narrow) << e.kernel;
+    EXPECT_TRUE(e.dominated) << e.kernel;
   }
 }
 
 TEST(PrecisionKernels, JsonArtifactParsesAndCarriesGateFields) {
-  PrecisionKernelsOptions opt;
-  opt.witness = false;
-  const PrecisionKernelsResult result = analyze_precision_kernels(opt);
+  const AuditReport result = audit_kernels(small_options());
   const std::string text = result.to_json();
   const json::Value root = json::parse(text);
   EXPECT_TRUE(root.at("clean").as_bool());
-  const auto& kernels = root.at("kernels");
-  ASSERT_EQ(kernels.array().size(), result.entries.size());
+  const auto& kernels = root.at("tiles").array().at(0).at("precision");
+  ASSERT_EQ(kernels.array().size(), result.tiles.at(0).precision.size());
   const auto& first = kernels.array().front();
   EXPECT_FALSE(first.at("certificate").at("kernel").as_string().empty());
   EXPECT_NE(first.find("witness"), nullptr);
@@ -64,10 +73,9 @@ TEST(PrecisionKernels, JsonArtifactParsesAndCarriesGateFields) {
 TEST(PrecisionKernels, TighterAssumptionsStillCertify) {
   // A smaller operating envelope can only shrink the bounds: sanity that
   // the certificate is monotone in the assumptions.
-  PrecisionKernelsOptions opt;
-  opt.witness = false;
+  AuditOptions opt = small_options();
   opt.assumptions.omega_max = 256;
-  const PrecisionKernelsResult result = analyze_precision_kernels(opt);
+  const AuditReport result = audit_kernels(opt);
   EXPECT_TRUE(result.clean());
 }
 

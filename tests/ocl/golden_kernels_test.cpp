@@ -47,22 +47,22 @@ const std::vector<std::pair<std::string, std::uint32_t>> kGolden = {
     {"als_update_batch_local_vec_cg", 0x283870f1u},
     {"als_update_batch_local_reg_vec_cg", 0x2e23c6c2u},
     {"als_update_flat_sell", 0xfd6b2f65u},
-    {"als_update_batch_f16", 0xf4bc8155u},
-    {"als_update_batch_reg_f16", 0x0a4b0b19u},
-    {"als_update_batch_local_f16", 0xdf071a55u},
-    {"als_update_batch_local_reg_f16", 0x4f5a08c1u},
-    {"als_update_batch_vec_f16", 0x3a1966bau},
-    {"als_update_batch_reg_vec_f16", 0xf2a23872u},
-    {"als_update_batch_local_vec_f16", 0xfe016964u},
-    {"als_update_batch_local_reg_vec_f16", 0x392f0f26u},
-    {"als_update_batch_bf16", 0x61004c26u},
-    {"als_update_batch_reg_bf16", 0x177c2074u},
-    {"als_update_batch_local_bf16", 0x471e4de2u},
-    {"als_update_batch_local_reg_bf16", 0xd64a8757u},
-    {"als_update_batch_vec_bf16", 0x9130118bu},
-    {"als_update_batch_reg_vec_bf16", 0x0af87036u},
-    {"als_update_batch_local_vec_bf16", 0xc0a419d9u},
-    {"als_update_batch_local_reg_vec_bf16", 0x072fdd63u},
+    {"als_update_batch_f16", 0xd0f9f5d8u},
+    {"als_update_batch_reg_f16", 0x29bb6d92u},
+    {"als_update_batch_local_f16", 0x24ef6171u},
+    {"als_update_batch_local_reg_f16", 0xc400bf7bu},
+    {"als_update_batch_vec_f16", 0xf49d2032u},
+    {"als_update_batch_reg_vec_f16", 0xb0745072u},
+    {"als_update_batch_local_vec_f16", 0x62a53a03u},
+    {"als_update_batch_local_reg_vec_f16", 0x4ce2e7b2u},
+    {"als_update_batch_bf16", 0xf265c71bu},
+    {"als_update_batch_reg_bf16", 0xfbfb5365u},
+    {"als_update_batch_local_bf16", 0x6d1fd07fu},
+    {"als_update_batch_local_reg_bf16", 0x65a39a49u},
+    {"als_update_batch_vec_bf16", 0x2183f563u},
+    {"als_update_batch_reg_vec_bf16", 0x1b4607fau},
+    {"als_update_batch_local_vec_bf16", 0xed74e7feu},
+    {"als_update_batch_local_reg_vec_bf16", 0x56f687fdu},
 };
 
 constexpr char kRegen[] = "export_kernels --out <dir>";

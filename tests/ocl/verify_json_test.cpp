@@ -1,4 +1,4 @@
-// JSON schema and fail-closed behavior of the verify-kernels entry points:
+// JSON schema and fail-closed behavior of the audit's verify entry points:
 // the report schema is golden (CI parses it), diagnostics are clickable
 // file:line:col anchors, and garbage input must land in `errors` with
 // clean() == false instead of throwing or passing.
@@ -7,7 +7,7 @@
 #include <cctype>
 #include <string>
 
-#include "als/verify_kernels.hpp"
+#include "als/audit_kernels.hpp"
 #include "ocl/kernel_source.hpp"
 #include "testing/kernel_mutator.hpp"
 
@@ -15,13 +15,15 @@ namespace alsmf {
 namespace {
 
 TEST(VerifyJson, SchemaCarriesGoldenKeys) {
-  VerifyKernelsOptions options;
+  AuditOptions options;
   options.profiles = {"gpu"};
-  const VerifyKernelsResult result = verify_kernels(options);
+  const AuditReport result = audit_kernels(options);
   const std::string json = result.to_json();
   for (const char* key :
        {"\"clean\":true", "\"errors\":[]", "\"diagnostics\":[]",
-        "\"kernels\":[", "\"kernel\":\"als_update_flat\"",
+        "\"check\":[", "\"tiles\":[{\"tile_rows\":0,",
+        "{\"tile_rows\":4,", "\"static_profiles\":[", "\"precision\":[",
+        "\"verify\":[", "\"kernel\":\"als_update_flat\"",
         "\"kernel\":\"als_update_flat_sell\"", "\"profile\":\"gpu\"",
         "\"bounds\":{\"refs\":", "\"proven_safe\":", "\"proven_violating\":0",
         "\"unprovable\":0", "\"findings\":[]", "\"races\":{\"pairs\":",
@@ -39,12 +41,12 @@ TEST(VerifyJson, MutantReportSerializesFindings) {
   const VerifySourceResult sr =
       verify_kernel_source(testing::mutated_source(m, kc));
   ASSERT_EQ(sr.reports.size(), 1u);
-  VerifyKernelsResult result;
-  VerifyKernelsEntry entry;
+  AuditReport result;
+  VerifyEntry entry;
   entry.kernel = m.kernel;
   entry.profile = "gpu";
   entry.report = sr.reports[0];
-  result.entries.push_back(entry);
+  result.tiles.emplace_back().verify.push_back(entry);
   const std::string json = result.to_json();
   EXPECT_NE(json.find("\"clean\":false"), std::string::npos);
   EXPECT_NE(json.find("\"verdict\":\"proven-violating\""), std::string::npos);

@@ -9,7 +9,7 @@
 
 #include <string>
 
-#include "als/verify_kernels.hpp"
+#include "als/audit_kernels.hpp"
 #include "ocl/analyze/parser.hpp"
 #include "ocl/kernel_source.hpp"
 
@@ -17,14 +17,15 @@ namespace alsmf {
 namespace {
 
 TEST(Verify, AllGeneratedKernelsFullyProvenOnAllProfiles) {
-  const VerifyKernelsResult result = verify_kernels(VerifyKernelsOptions{});
+  const AuditReport result = audit_kernels();
   EXPECT_TRUE(result.clean());
   for (const auto& err : result.errors) ADD_FAILURE() << err;
   for (const auto& d : result.diagnostics) ADD_FAILURE() << d;
   // flat + 8 batched variants (cholesky + cg flavors) + SELL + the
   // fp16/bf16 storage flavors of the cholesky variants, x3 profiles.
-  ASSERT_EQ(result.entries.size(), 34u * 3u);
-  for (const auto& e : result.entries) {
+  const auto& entries = result.tiles.at(0).verify;
+  ASSERT_EQ(entries.size(), 34u * 3u);
+  for (const auto& e : entries) {
     SCOPED_TRACE(e.profile + "/" + e.kernel);
     EXPECT_GT(e.report.refs_total, 0);
     EXPECT_EQ(e.report.refs_proven_safe, e.report.refs_total);
@@ -39,13 +40,13 @@ TEST(Verify, AllGeneratedKernelsFullyProvenOnAllProfiles) {
 TEST(Verify, ForcedSmallTileStaysProven) {
   // TILE_ROWS=4 shrinks the staging tile well below the chunk loop's
   // natural size; extents and barrier intervals must still check out.
-  VerifyKernelsOptions options;
-  options.tile_rows = 4;
+  AuditOptions options;
   options.profiles = {"gpu"};
-  const VerifyKernelsResult result = verify_kernels(options);
+  const AuditReport result = audit_kernels(options);
   EXPECT_TRUE(result.clean());
   for (const auto& d : result.diagnostics) ADD_FAILURE() << d;
-  ASSERT_EQ(result.entries.size(), 34u);
+  ASSERT_EQ(result.tiles.at(1).tile_rows, 4);
+  ASSERT_EQ(result.tiles.at(1).verify.size(), 34u);
 }
 
 TEST(Verify, ContractSelectionFollowsStorageFormat) {
@@ -72,13 +73,14 @@ TEST(Verify, ContractSelectionFollowsStorageFormat) {
 }
 
 TEST(Verify, WidthPassRecordsElementWidths) {
-  const VerifyKernelsResult result = verify_kernels(VerifyKernelsOptions{});
-  ASSERT_FALSE(result.entries.empty());
+  const AuditReport result = audit_kernels();
+  const auto& entries = result.tiles.at(0).verify;
+  ASSERT_FALSE(entries.empty());
   const auto narrow = [](const std::string& kernel) {
     return kernel.find("_f16") != std::string::npos ||
            kernel.find("_bf16") != std::string::npos;
   };
-  for (const auto& e : result.entries) {
+  for (const auto& e : entries) {
     SCOPED_TRACE(e.profile + "/" + e.kernel);
     EXPECT_FALSE(e.report.widths.empty());
     bool saw_half = false;
