@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
 
+#include "testing/golden.hpp"
 #include "testing/util.hpp"
 
 namespace alsmf {
@@ -49,6 +52,32 @@ TEST(Split, HoldoutZeroFraction) {
   auto [train, test] = split_holdout(all, 0.0, 1);
   EXPECT_EQ(train.nnz(), all.nnz());
   EXPECT_EQ(test.nnz(), 0);
+}
+
+/// Packed `row col value-bits` bytes of every entry, in order.
+std::string entry_bytes(const Coo& coo) {
+  std::string out;
+  for (const auto& t : coo.entries()) {
+    char buf[sizeof(t.row) + sizeof(t.col) + sizeof(t.value)];
+    std::memcpy(buf, &t.row, sizeof(t.row));
+    std::memcpy(buf + sizeof(t.row), &t.col, sizeof(t.col));
+    std::memcpy(buf + sizeof(t.row) + sizeof(t.col), &t.value, sizeof(t.value));
+    out.append(buf, sizeof(buf));
+  }
+  return out;
+}
+
+TEST(Split, HoldoutGolden) {
+  // Pins which side every entry lands on, and the order within each side,
+  // at a fixed seed: one uniform draw per entry, in entry order.
+  const Coo all = testing::random_coo(120, 90, 0.2, 31);
+  auto [train, test] = split_holdout(all, 0.2, 77);
+  EXPECT_EQ(all.nnz(), 2105);
+  EXPECT_EQ(train.nnz(), 1675);
+  EXPECT_EQ(test.nnz(), 430);
+  const char* regen = "./build/tests/test_data --gtest_filter=Split.HoldoutGolden";
+  testing::expect_golden_crc("split_holdout.train", entry_bytes(train), 0xafc335d0u, regen);
+  testing::expect_golden_crc("split_holdout.test", entry_bytes(test), 0x90bd987au, regen);
 }
 
 TEST(Split, LeaveOneOutOnePerMultiRow) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+
+#include "common/rng.hpp"
 
 #include "testing/util.hpp"
 
@@ -74,6 +77,73 @@ TEST(Convert, UnsortedCooStillYieldsCanonicalCsr) {
   EXPECT_TRUE(csr.check_invariants());
   EXPECT_FLOAT_EQ(csr.at(0, 0), 3.0f);
   EXPECT_FLOAT_EQ(csr.at(0, 2), 2.0f);
+}
+
+/// Expected CSR of `coo`: entries sorted row-major, then compressed by hand.
+Csr canonical_csr(Coo coo) {
+  coo.sort_row_major();
+  aligned_vector<nnz_t> ptr(static_cast<std::size_t>(coo.rows()) + 1, 0);
+  aligned_vector<index_t> idx;
+  aligned_vector<real> vals;
+  for (const auto& t : coo.entries()) {
+    ++ptr[static_cast<std::size_t>(t.row) + 1];
+    idx.push_back(t.col);
+    vals.push_back(t.value);
+  }
+  for (std::size_t u = 1; u < ptr.size(); ++u) ptr[u] += ptr[u - 1];
+  return Csr(coo.rows(), coo.cols(), std::move(ptr), std::move(idx), std::move(vals));
+}
+
+TEST(Convert, AlreadySortedRows) {
+  const Coo coo = testing::random_coo(30, 25, 0.3, 41);  // canonical order
+  EXPECT_EQ(coo_to_csr(coo), canonical_csr(coo));
+}
+
+TEST(Convert, ReversedRows) {
+  Coo coo = testing::random_coo(30, 25, 0.3, 42);
+  std::reverse(coo.entries().begin(), coo.entries().end());
+  const Csr csr = coo_to_csr(coo);
+  EXPECT_TRUE(csr.check_invariants());
+  EXPECT_EQ(csr, canonical_csr(coo));
+}
+
+TEST(Convert, ShuffledRowsWithEmptyRows) {
+  Coo coo(12, 40);
+  Rng rng(43);
+  for (index_t u = 0; u < 12; u += 3) {  // rows 1, 2, 4, 5, ... stay empty
+    for (index_t c = 39; c >= 0; c -= 1 + static_cast<index_t>(rng.bounded(4))) {
+      coo.add(u, c, static_cast<real>(c) + 0.5f);
+    }
+  }
+  for (std::size_t e = coo.entries().size(); e > 1; --e) {
+    std::swap(coo.entries()[e - 1], coo.entries()[rng.bounded(e)]);
+  }
+  const Csr csr = coo_to_csr(coo);
+  EXPECT_EQ(csr, canonical_csr(coo));
+  EXPECT_EQ(csr.row_nnz(1), 0);
+  EXPECT_EQ(csr.row_nnz(11), 0);
+}
+
+TEST(Convert, DuplicateEntryIsRejected) {
+  Coo coo(3, 3);
+  coo.add(1, 2, 1.0f);
+  coo.add(0, 0, 2.0f);
+  coo.add(1, 2, 3.0f);
+  EXPECT_THROW(coo_to_csr(coo), Error);
+  EXPECT_THROW(coo_to_csc(coo), Error);
+}
+
+TEST(Convert, TransposeEqualsCscArrays) {
+  for (std::uint64_t seed = 50; seed < 54; ++seed) {
+    const Csr csr = testing::random_csr(37, 19, 0.2, seed);
+    const Csc csc = csr_to_csc(csr);
+    const Csr t = transpose(csr);
+    EXPECT_EQ(t.rows(), csr.cols());
+    EXPECT_EQ(t.cols(), csr.rows());
+    EXPECT_EQ(t.row_ptr(), csc.col_ptr());
+    EXPECT_EQ(t.col_idx(), csc.row_idx());
+    EXPECT_EQ(t.values(), csc.values());
+  }
 }
 
 TEST(Convert, EmptyMatrix) {
