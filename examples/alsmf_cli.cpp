@@ -109,9 +109,29 @@ int cmd_train(const CliArgs& args) {
     std::cerr << "train requires --ratings and --model\n";
     return 2;
   }
-  Coo ratings = read_ratings_file(*ratings_path);
-  ratings.canonicalize();  // raw logs may repeat (user, item) pairs
-  const Csr train = coo_to_csr(ratings);
+  const auto ckpt_dir = args.get("checkpoint-dir");
+  const auto metrics_out = args.get("metrics-out");
+  const auto events_out = args.get("events-out");
+  const auto trace_out = args.get("trace-out");
+  // Host spans of set-up and save go on the recorder that the solver's
+  // launches use; the trace is written only with --trace-out.
+  devsim::TraceRecorder trace;
+  auto phase = [&trace](const char* name) { return trace.span("train", name); };
+
+  Coo ratings;
+  Csr train;
+  {
+    auto span = phase("ingest");
+    ratings = read_ratings_file(*ratings_path);
+  }
+  {
+    auto span = phase("canonicalize");
+    ratings.canonicalize();  // raw logs may repeat (user, item) pairs
+  }
+  {
+    auto span = phase("csr_build");
+    train = coo_to_csr(ratings);
+  }
   AlsOptions options;
   options.k = static_cast<int>(args.get_long("k", 10));
   options.lambda = static_cast<real>(args.get_double("lambda", 0.1));
@@ -125,6 +145,7 @@ int cmd_train(const CliArgs& args) {
 
   const auto profile = resolve_profile(args);
   const std::string variant_arg = args.get_or("variant", "auto");
+  auto select_span = phase("variant_select");
   AlsVariant variant;
   if (variant_arg == "auto") {
     variant = select_variant_heuristic(train, options, profile);
@@ -136,11 +157,7 @@ int cmd_train(const CliArgs& args) {
     variant =
         AlsVariant::from_mask(static_cast<unsigned>(std::stoul(variant_arg)));
   }
-
-  const auto ckpt_dir = args.get("checkpoint-dir");
-  const auto metrics_out = args.get("metrics-out");
-  const auto events_out = args.get("events-out");
-  const auto trace_out = args.get("trace-out");
+  select_span.end();
 
   Recommender rec;
   TrainReport report;
@@ -156,13 +173,14 @@ int cmd_train(const CliArgs& args) {
       run_config.resume = true;
     }
     obs::EventStream events;
-    devsim::TraceRecorder trace;
     if (events_out) run_config.events = &events;
     if (trace_out) run_config.trace = &trace;
     if (metrics_out) run_config.metrics = &obs::Registry::global();
     Timer wall;
+    auto init_span = phase("solver_init");
     devsim::Device device(profile);
     AlsSolver solver(train, options, variant, device);
+    init_span.end();
     const RunReport run_report = solver.run(run_config);
     if (run_report.resumed_from >= 0) {
       std::cout << "resumed from checkpoint at iteration "
@@ -185,14 +203,17 @@ int cmd_train(const CliArgs& args) {
       std::cout << "events: " << *events_out << " (" << events.size()
                 << " records)\n";
     }
-    if (trace_out) {
-      trace.write_chrome_trace_file(*trace_out);
-      std::cout << "trace: " << *trace_out << "\n";
-    }
   } else {
     report = rec.train(train, options, profile, variant);
   }
-  rec.save_file(*model_path);
+  {
+    auto span = phase("save_model");
+    rec.save_file(*model_path);
+  }
+  if (trace_out) {
+    trace.write_chrome_trace_file(*trace_out);
+    std::cout << "trace: " << *trace_out << "\n";
+  }
   std::cout << "trained " << train.rows() << "x" << train.cols() << " ("
             << train.nnz() << " ratings) on " << report.device
             << "\n  variant: " << report.variant.name()

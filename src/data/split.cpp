@@ -9,15 +9,23 @@ namespace alsmf {
 
 std::pair<Coo, Coo> split_holdout(const Coo& all, double test_fraction,
                                   std::uint64_t seed) {
+  // One uniform draw per entry, in entry order; the sides are counted first
+  // so that each is allocated once at its exact size.
   Rng rng(seed);
+  const auto& entries = all.entries();
+  std::vector<bool> held_out(entries.size());
+  std::size_t tests = 0;
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    held_out[e] = rng.uniform() < test_fraction;
+    tests += held_out[e] ? 1 : 0;
+  }
   Coo train(all.rows(), all.cols());
   Coo test(all.rows(), all.cols());
-  for (const auto& t : all.entries()) {
-    if (rng.uniform() < test_fraction) {
-      test.add(t.row, t.col, t.value);
-    } else {
-      train.add(t.row, t.col, t.value);
-    }
+  train.reserve(static_cast<nnz_t>(entries.size() - tests));
+  test.reserve(static_cast<nnz_t>(tests));
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    const Triplet& t = entries[e];
+    (held_out[e] ? test : train).add(t.row, t.col, t.value);
   }
   return {std::move(train), std::move(test)};
 }

@@ -117,8 +117,13 @@ std::uint64_t ModelStore::publish(std::shared_ptr<ModelSnapshot> next) {
                   "matrix shape");
   const std::uint64_t v = next_version_.fetch_add(1, std::memory_order_relaxed);
   next->version = v;
-  snap_.store(std::shared_ptr<const ModelSnapshot>(std::move(next)),
-              std::memory_order_release);
+  std::shared_ptr<const ModelSnapshot> previous(std::move(next));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snap_.swap(previous);
+  }
+  // `previous` is released here, outside the lock: when it was the last
+  // reference, freeing a whole model must not stall readers.
   publishes_.fetch_add(1, std::memory_order_relaxed);
   return v;
 }

@@ -2,17 +2,18 @@
 //
 // A ModelSnapshot is an immutable copy of everything serving needs (factor
 // matrices, optional bias block, the fold-in λ). The ModelStore publishes
-// snapshots through an atomic shared_ptr: readers acquire the current
-// snapshot with one lock-free load and keep serving from it even while a
-// retrained model is swapped in — in-flight requests finish on the old
-// snapshot, which is reclaimed when its last reader drops the reference
-// (exactly the read-copy-update pattern, with shared_ptr as the grace
-// period).
+// snapshots through a shared_ptr guarded by a mutex that is held only to
+// copy or swap the pointer: readers acquire the current snapshot and keep
+// serving from it even while a retrained model is swapped in — in-flight
+// requests finish on the old snapshot, which is reclaimed when its last
+// reader drops the reference (the read-copy-update pattern, with shared_ptr
+// as the grace period).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "linalg/dense.hpp"
 #include "recsys/bias.hpp"
@@ -95,9 +96,11 @@ class ModelStore {
   /// until the last in-flight reader releases it.
   std::uint64_t publish(std::shared_ptr<ModelSnapshot> next);
 
-  /// Lock-free acquire of the current snapshot (null before first publish).
+  /// The current snapshot (null before first publish). The lock covers only
+  /// the pointer copy, never a reader's use of the snapshot.
   std::shared_ptr<const ModelSnapshot> current() const {
-    return snap_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return snap_;
   }
 
   /// Version of the currently published snapshot (0 when empty).
@@ -109,7 +112,8 @@ class ModelStore {
   }
 
  private:
-  std::atomic<std::shared_ptr<const ModelSnapshot>> snap_;
+  mutable std::mutex mu_;
+  std::shared_ptr<const ModelSnapshot> snap_;  ///< guarded by mu_
   std::atomic<std::uint64_t> next_version_{1};
   std::atomic<std::uint64_t> publishes_{0};
 };

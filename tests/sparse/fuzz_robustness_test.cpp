@@ -73,10 +73,6 @@ TEST(FuzzRobustness, TextParserSurvivesGarbageLines) {
       EXPECT_GE(coo.rows(), 0);
     } catch (const Error&) {
       // fine: explicit rejection
-    } catch (const std::invalid_argument&) {
-      // stoll/stod rejection of numeric-looking garbage: acceptable
-    } catch (const std::out_of_range&) {
-      // overlong numbers: acceptable
     }
   }
 }
@@ -94,8 +90,6 @@ TEST(FuzzRobustness, MatrixMarketHeaderMutations) {
       const Coo coo = read_matrix_market(in);
       EXPECT_LE(coo.nnz(), 2);
     } catch (const Error&) {
-    } catch (const std::invalid_argument&) {
-    } catch (const std::out_of_range&) {
     }
   }
 }
